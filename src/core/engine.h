@@ -299,6 +299,14 @@ class GumEngine {
     };
     if (faults != nullptr) take_checkpoint(0);
 
+    // Step-1 census results, reused across iterations.
+    std::vector<double> loads(n, 0.0);
+    std::vector<graph::FrontierFeatures> features(n);
+    std::vector<double> remote_discount(n, 1.0);
+    double total_load = 0.0;
+    size_t total_frontier = 0;
+    bool census_taken = false;
+
     for (int iter = 0; iter < options.max_iterations; ++iter) {
       // --- fail-stop detection at the superstep barrier ---
       if (faults != nullptr) {
@@ -376,25 +384,25 @@ class GumEngine {
       }
 
       // --- Step 1: workload census ---
-      std::vector<double> loads(n, 0.0);
-      std::vector<graph::FrontierFeatures> features(n);
-      std::vector<double> remote_discount(n, 1.0);
-      double total_load = 0.0;
-      size_t total_frontier = 0;
-      {
-      GUM_TRACE_SCOPE("gum.census");
-      const HubCache& hub_cache = ctx_->hub_cache();
-      for (int i = 0; i < n; ++i) {
-        double hub_load = 0.0;
-        for (VertexId v : frontier.Fragment(i)) {
-          loads[i] += g.OutDegree(v);
-          if (hub_cache.IsHub(v)) hub_load += g.OutDegree(v);
+      // One fused scan per fragment yields its load, hub share and
+      // features. A fixed-rounds frontier is the same every round, so its
+      // census is taken once per run.
+      if (fixed_rounds < 0 || !census_taken) {
+        GUM_TRACE_SCOPE("gum.census");
+        const Bitmap* hubs = ctx_->hub_cache().hub_bitmap();
+        total_load = 0.0;
+        total_frontier = 0;
+        for (int i = 0; i < n; ++i) {
+          const graph::FrontierCensus c =
+              graph::CensusFrontier(g, frontier.Fragment(i), hubs);
+          loads[i] = c.out_edges;
+          features[i] = c.features;
+          remote_discount[i] =
+              c.out_edges > 0 ? 1.0 - c.hub_out_edges / c.out_edges : 1.0;
+          total_load += loads[i];
+          total_frontier += frontier.FragmentSize(i);
         }
-        total_load += loads[i];
-        total_frontier += frontier.FragmentSize(i);
-        features[i] = graph::ExtractFrontierFeatures(g, frontier.Fragment(i));
-        if (loads[i] > 0) remote_discount[i] = 1.0 - hub_load / loads[i];
-      }
+        census_taken = true;
       }
       if (fixed_rounds < 0 && total_frontier == 0) break;
 

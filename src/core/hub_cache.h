@@ -25,6 +25,8 @@ class HubCache {
   bool IsHub(graph::VertexId v) const {
     return enabled_ && bitmap_.Test(v);
   }
+  // The hub marks for graph::CensusFrontier; null when the cache is off.
+  const Bitmap* hub_bitmap() const { return enabled_ ? &bitmap_ : nullptr; }
   size_t num_hubs() const { return enabled_ ? bitmap_.Count() : 0; }
   // Cached adjacency bytes replicated per device.
   size_t cache_bytes() const { return cache_bytes_; }

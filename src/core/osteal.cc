@@ -26,6 +26,14 @@ OStealDecision DecideOSteal(const std::vector<std::vector<double>>& cost,
 
   Stopwatch timer;
   for (int m = 1; m <= limit; ++m) {
+    // Enumeration bound: z(m) >= 0, so no candidate from here on can beat
+    // the incumbent once p*m alone reaches it (p >= 0 keeps p*m monotone
+    // in m). Exact, since the winner needs a strictly lower cost; a NaN or
+    // negative p never stops the scan.
+    if (sync_per_peer_ns >= 0 &&
+        sync_per_peer_ns * m >= best.predicted_cost_ns) {
+      break;
+    }
     const std::vector<int> active = schedule.ActiveFor(m);
 
     double z;

@@ -30,15 +30,18 @@ struct OStealDecision {
   std::vector<int> active;       // surviving devices, ascending
   double predicted_cost_ns = 0;  // z + p*m of the winner
   double decision_host_ms = 0;   // measured wall time of the enumeration
-  // Solver effort summed over every candidate group size evaluated.
+  // Solver effort summed over the candidate group sizes actually solved
+  // (the enumeration bound skips the rest).
   int64_t lp_iterations_total = 0;
   int64_t milp_nodes_total = 0;
 };
 
-// Enumerates m = 1..n over the reduction schedule. `cost` is the full
-// (un-restricted) coefficient matrix from BuildCostMatrix with all devices
-// allowed; columns are forbidden per-candidate internally. `sync_per_peer_ns`
-// is the estimated p of Eq. (4) in ns. `max_group_size` caps the
+// Enumerates m = 1..n over the reduction schedule, stopping at the first m
+// whose synchronization term p*m alone reaches the best z + p*m so far
+// (exact: z >= 0; DESIGN.md §4). `cost` is the full (un-restricted)
+// coefficient matrix from BuildCostMatrix with all devices allowed;
+// columns are forbidden per-candidate internally. `sync_per_peer_ns` is
+// the estimated p of Eq. (4) in ns. `max_group_size` caps the
 // enumeration (0 means every device): after a fail-stop the recovery path
 // passes the survivor count so the dead devices' group sizes are never
 // candidates.

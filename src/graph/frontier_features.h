@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bitmap.h"
 #include "graph/csr.h"
 
 namespace gum::graph {
@@ -38,9 +39,25 @@ struct FrontierFeatures {
 
 // Extracts Table-I features for the given frontier (a set of vertex ids of
 // g). Cost: one scan over the frontier (paper §VI-C: "features can be
-// collected with a scan over active vertices rather than edges").
+// collected with a scan over active vertices rather than edges"), plus a
+// degree histogram (or a sort, when the degree range dwarfs the frontier)
+// for the Gini coefficient. Allocation-free once warm: the scratch is
+// per-thread and reused, so concurrent callers are safe.
 FrontierFeatures ExtractFrontierFeatures(const CsrGraph& g,
                                          std::span<const VertexId> frontier);
+
+// The engine's per-fragment census (Step 1): the features plus the
+// frontier's out-edge load, all from the same scan.
+struct FrontierCensus {
+  FrontierFeatures features;
+  double out_edges = 0;      // sum of frontier out-degrees, frontier order
+  double hub_out_edges = 0;  // the part of out_edges on vertices in `hubs`
+};
+
+// `hubs` (may be null) marks the hub-cached vertices.
+FrontierCensus CensusFrontier(const CsrGraph& g,
+                              std::span<const VertexId> frontier,
+                              const Bitmap* hubs);
 
 }  // namespace gum::graph
 

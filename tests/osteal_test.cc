@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
+#include "common/logging.h"
+#include "common/random.h"
 #include "core/fsteal.h"
 #include "core/osteal.h"
 #include "sim/reduction_schedule.h"
+#include "solver/steal_problem.h"
 
 namespace gum::core {
 namespace {
@@ -120,6 +127,167 @@ TEST(OStealTest, MaxGroupSizeCapsEnumeration) {
                                  /*max_group_size=*/0);
   EXPECT_EQ(zero.group_size, uncapped.group_size);
   EXPECT_EQ(zero.owner, uncapped.owner);
+}
+
+// --- enumeration bound: exact against the exhaustive scan ---
+
+// DecideOSteal without its enumeration bound: every m in 1..limit is
+// solved. Returns group_size 0 when no candidate is feasible.
+OStealDecision ExhaustiveOSteal(const std::vector<std::vector<double>>& cost,
+                                const std::vector<double>& loads,
+                                const sim::ReductionSchedule& schedule,
+                                double p, const OStealConfig& config,
+                                int max_group_size) {
+  const int n = schedule.num_devices();
+  const int limit = max_group_size > 0 ? std::min(max_group_size, n) : n;
+  OStealDecision best;
+  best.predicted_cost_ns = std::numeric_limits<double>::infinity();
+  for (int m = 1; m <= limit; ++m) {
+    const std::vector<int> active = schedule.ActiveFor(m);
+    double z;
+    if (config.use_greedy) {
+      z = solver::GreedyStealPlan(cost, loads, active).makespan;
+    } else {
+      auto plan = solver::SolveStealProblem(cost, loads, active);
+      if (!plan.ok()) continue;
+      best.lp_iterations_total += plan->lp_iterations;
+      z = plan->makespan;
+    }
+    const double total = z + p * m;
+    if (total < best.predicted_cost_ns) {
+      best.predicted_cost_ns = total;
+      best.group_size = m;
+    }
+  }
+  if (best.group_size >= 1) {
+    best.owner = schedule.OwnerVectorFor(best.group_size);
+    best.active = schedule.ActiveFor(best.group_size);
+  }
+  return best;
+}
+
+sim::Topology PickTopology(Rng& rng) {
+  switch (rng.NextBounded(4)) {
+    case 0: return sim::Topology::FullyConnected(4);
+    case 1: return sim::Topology::Ring(6);
+    default: return sim::Topology::HybridCubeMesh8();
+  }
+}
+
+double PickSyncCost(Rng& rng) {
+  switch (rng.NextBounded(8)) {
+    case 0: return 0.0;
+    case 1: return rng.NextUniform(0.0, 1.0);
+    case 2: return 1e300;
+    case 3: return std::numeric_limits<double>::max();  // p*2 overflows
+    case 4: return -rng.NextUniform(1.0, 1e5);          // never bounds
+    default: return std::exp(rng.NextUniform(std::log(10.0), std::log(1e7)));
+  }
+}
+
+std::vector<double> PickLoads(Rng& rng, int n) {
+  std::vector<double> loads(n, 0.0);
+  const int kind = static_cast<int>(rng.NextBounded(5));
+  if (kind == 0) return loads;  // every z(m) = 0: all-tie enumeration
+  const double scale = kind == 1 ? 10 : kind == 2 ? 1e4 : kind == 3 ? 1e7 : 1e3;
+  for (auto& l : loads) {
+    if (rng.NextBernoulli(0.25)) continue;
+    l = std::floor(rng.NextUniform(0.0, scale));
+  }
+  // kind 4: uniform loads on uniform costs produce exact ties across m.
+  if (kind == 4) std::fill(loads.begin(), loads.end(), loads[0] + 1);
+  return loads;
+}
+
+TEST(OStealBoundTest, MatchesExhaustiveEnumerationOnSeededInstances) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Infeasible candidates are expected here; keep their warnings quiet.
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);
+  int compared = 0, pruned = 0;
+  for (uint64_t seed = 1; seed <= 1200; ++seed) {
+    Rng rng(seed);
+    const sim::Topology topo = PickTopology(rng);
+    const int n = topo.num_devices();
+    OStealConfig config;
+    config.use_greedy = rng.NextBernoulli(0.5);
+    const double p = PickSyncCost(rng);
+    std::vector<double> loads = PickLoads(rng, n);
+    const bool uniform = rng.NextBernoulli(0.2) || loads[0] == loads[n - 1];
+    std::vector<std::vector<double>> cost(n, std::vector<double>(n));
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        cost[i][j] = uniform ? (i == j ? 1.0 : 1.5)
+                             : (i == j ? rng.NextUniform(0.5, 2.0)
+                                       : rng.NextUniform(1.0, 4.0));
+      }
+    }
+    // Forbidden devices: +inf columns, the schedule built around them and
+    // the enumeration capped at the survivor count (the recovery shape).
+    std::vector<int> forbidden;
+    if (rng.NextBernoulli(0.3)) {
+      const int k = 1 + static_cast<int>(rng.NextBounded(2));
+      while (static_cast<int>(forbidden.size()) < k) {
+        const int d = static_cast<int>(rng.NextBounded(n));
+        if (std::find(forbidden.begin(), forbidden.end(), d) ==
+            forbidden.end()) {
+          forbidden.push_back(d);
+        }
+      }
+      for (int i = 0; i < n; ++i) {
+        for (const int d : forbidden) cost[i][d] = kInf;
+      }
+    }
+    // Scattered +inf cells make some candidates infeasible.
+    if (rng.NextBernoulli(0.15)) {
+      cost[rng.NextBounded(n)][rng.NextBounded(n)] = kInf;
+    }
+    const auto schedule =
+        forbidden.empty()
+            ? sim::ReductionSchedule::Build(topo)
+            : sim::ReductionSchedule::BuildWithForbidden(topo, forbidden);
+    int cap = 0;
+    if (!forbidden.empty()) {
+      cap = n - static_cast<int>(forbidden.size());
+    } else if (rng.NextBernoulli(0.3)) {
+      cap = 1 + static_cast<int>(rng.NextBounded(n));
+    }
+
+    const OStealDecision want =
+        ExhaustiveOSteal(cost, loads, schedule, p, config, cap);
+    if (want.group_size == 0) continue;  // DecideOSteal would abort
+    const OStealDecision got =
+        DecideOSteal(cost, loads, schedule, p, config, cap);
+    ++compared;
+    ASSERT_EQ(got.group_size, want.group_size) << "seed " << seed;
+    EXPECT_EQ(got.owner, want.owner) << "seed " << seed;
+    EXPECT_EQ(got.active, want.active) << "seed " << seed;
+    EXPECT_EQ(std::memcmp(&got.predicted_cost_ns, &want.predicted_cost_ns,
+                          sizeof(double)),
+              0)
+        << "seed " << seed << ": " << got.predicted_cost_ns << " vs "
+        << want.predicted_cost_ns;
+    EXPECT_LE(got.lp_iterations_total, want.lp_iterations_total);
+    if (got.lp_iterations_total < want.lp_iterations_total) ++pruned;
+  }
+  SetLogLevel(saved_level);
+  EXPECT_GE(compared, 1000);
+  EXPECT_GE(pruned, 100) << "the bound should skip solves on many instances";
+}
+
+TEST(OStealBoundTest, LatencyBoundGroupSolvesOnlyGroupSizeOne) {
+  // The LT regime: p*2 alone exceeds the m=1 cost, so nothing past m=1 is
+  // solved (and a single worker needs no simplex).
+  const auto schedule =
+      sim::ReductionSchedule::Build(sim::Topology::HybridCubeMesh8());
+  const auto cost = UniformCost(8, 1.0, 2.0);
+  const std::vector<double> loads = {3, 1, 0, 2, 0, 0, 1, 0};
+  const auto dec =
+      DecideOSteal(cost, loads, schedule, /*sync_per_peer_ns=*/100000.0, {});
+  EXPECT_EQ(dec.group_size, 1);
+  EXPECT_EQ(dec.lp_iterations_total, 0);
+  const auto full = ExhaustiveOSteal(cost, loads, schedule, 100000.0, {}, 0);
+  EXPECT_GT(full.lp_iterations_total, 0);
 }
 
 // --- BuildWithForbidden: ownership inheritance over arbitrary survivor

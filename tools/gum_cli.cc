@@ -87,6 +87,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <utility>
 
 #include "algos/apps.h"
@@ -783,6 +784,14 @@ int main(int argc, char** argv) {
     std::cerr << "--target requires --algo=astar\n";
     return 1;
   }
+  // A negative round count would turn PageRank into a frontier-driven run
+  // that only the iteration cap stops.
+  const int64_t pr_rounds = flags.GetInt("pr-rounds", 20);
+  if (pr_rounds < 0 || pr_rounds > std::numeric_limits<int>::max()) {
+    std::cerr << "--pr-rounds must be a round count >= 0, got " << pr_rounds
+              << "\n";
+    return 1;
+  }
   graph::CsrBuildOptions build;
   build.symmetrize = algo == "wcc";
   auto g = graph::CsrGraph::FromEdgeList(*edges, build);
@@ -879,7 +888,7 @@ int main(int argc, char** argv) {
     if (algo == "pr") {
       algos::PageRankApp app;
       app.num_vertices = g->num_vertices();
-      app.rounds = static_cast<int>(flags.GetInt("pr-rounds", 20));
+      app.rounds = static_cast<int>(pr_rounds);
       return RunMutationStream(flags, *g, *partition, *topology, app, mstream,
                                /*symmetric=*/false);
     }
@@ -945,7 +954,7 @@ int main(int argc, char** argv) {
   if (algo == "pr") {
     algos::PageRankApp app;
     app.num_vertices = g->num_vertices();
-    app.rounds = static_cast<int>(flags.GetInt("pr-rounds", 20));
+    app.rounds = static_cast<int>(pr_rounds);
     return RunAndReport(flags, *g, *partition, *topology, app);
   }
   if (algo == "dpr") {
